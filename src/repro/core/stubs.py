@@ -26,9 +26,15 @@ Wire format of a request, after any subcontract control written by
 
 and of a reply, after any subcontract control written by the server side:
 
-    INT8 status (0 = ok, 1 = application exception)
+    INT8 status (0 = ok, 1 = application exception, 2 = revoked)
     on ok:        the marshalled results
     on exception: STRING remote type name, STRING message
+    on revoked:   STRING message
+
+Any other status byte is refused with :class:`ReplyStatusError`.  The
+stub owns the reply once ``invoke`` returns it: every path out of the
+stub — results, a remote error, an unknown status, or a failed decode —
+returns the reply to its pool.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.core.errors import NarrowError, RemoteApplicationError, RevokedObjectError
 from repro.core.object import SpringObject
 from repro.marshal.buffer import MarshalBuffer
+from repro.marshal.errors import ReplyStatusError
 
 if TYPE_CHECKING:
     from repro.idl.rtypes import InterfaceBinding
@@ -50,6 +57,7 @@ __all__ = [
     "TYPE_QUERY_OP",
     "remote_call",
     "remote_type_query",
+    "reply_status_error",
     "narrow",
     "write_ok_status",
     "write_exception_status",
@@ -106,17 +114,14 @@ def remote_call(
         # notifications still fire) before pooling the buffer.
         buffer.recycle()
 
-    status = reply.get_int8()
-    if status == STATUS_EXCEPTION:
-        remote_type = reply.get_string()
-        message = reply.get_string()
+    try:
+        status = reply.get_int8()
+        if status != STATUS_OK:
+            raise reply_status_error(reply, status)
+        results = unmarshal_results(reply, domain)
+    except BaseException:
         reply.recycle()
-        raise RemoteApplicationError(remote_type, message)
-    if status == STATUS_REVOKED:
-        message = reply.get_string()
-        reply.recycle()
-        raise RevokedObjectError(message)
-    results = unmarshal_results(reply, domain)
+        raise
     reply.release()
     return results
 
@@ -141,26 +146,36 @@ def _traced_remote_call(
             subcontract.invoke_preamble(obj, buffer)
             buffer.put_string(opname)
             marshal_args(buffer)
-            span.annotate(request_bytes=buffer.size)
+            span.attrs["request_bytes"] = buffer.size
             clock.charge("indirect_call")  # stubs -> subcontract (invoke)
             reply = subcontract.invoke(obj, buffer)
         finally:
             buffer.recycle()
 
-        span.annotate(reply_bytes=reply.size)
-        status = reply.get_int8()
-        if status == STATUS_EXCEPTION:
-            remote_type = reply.get_string()
-            message = reply.get_string()
+        span.attrs["reply_bytes"] = reply.size
+        try:
+            status = reply.get_int8()
+            if status != STATUS_OK:
+                raise reply_status_error(reply, status)
+            results = unmarshal_results(reply, domain)
+        except BaseException:
             reply.recycle()
-            raise RemoteApplicationError(remote_type, message)
-        if status == STATUS_REVOKED:
-            message = reply.get_string()
-            reply.recycle()
-            raise RevokedObjectError(message)
-        results = unmarshal_results(reply, domain)
+            raise
         reply.release()
         return results
+
+
+def reply_status_error(reply: MarshalBuffer, status: int) -> Exception:
+    """The client-side error a non-ok reply status stands for.
+
+    Decodes the error body that follows the status byte; the caller
+    recycles the reply and raises the result.
+    """
+    if status == STATUS_EXCEPTION:
+        return RemoteApplicationError(reply.get_string(), reply.get_string())
+    if status == STATUS_REVOKED:
+        return RevokedObjectError(reply.get_string())
+    return ReplyStatusError(f"unknown reply status byte {status}")
 
 
 def remote_type_query(obj: SpringObject) -> tuple[str, ...]:

@@ -45,12 +45,7 @@ _spec_counter = itertools.count(1)
 
 _HEADER = """\
 # Generated by repro.idl.specialize -- fused stubs, do not edit.
-from repro.core.stubs import (
-    STATUS_EXCEPTION,
-    STATUS_OK,
-    STATUS_REVOKED,
-)
-from repro.core.errors import RemoteApplicationError, RevokedObjectError
+from repro.core.stubs import STATUS_OK, reply_status_error
 from repro.idl.genruntime import (
     marshal_door,
     marshal_door_copy,
@@ -70,7 +65,7 @@ def _emit_call_body(out: _Emitter, op: OperationSpec, traced: bool) -> None:
     for param in op.params:
         _emit_put(out, param.type, param.name, "_buf", "_domain", param.mode)
     if traced:
-        out.line("_span.annotate(request_bytes=_buf.size)")
+        out.line('_span.attrs["request_bytes"] = _buf.size')
     # The fused invoke: what SingleDoorClient.invoke does, inlined.
     out.line('_kernel.clock.charge("memory_copy_byte", _buf.size)')
     out.line("_reply = _kernel.door_call(_domain, _obj._rep.door, _buf)")
@@ -80,25 +75,27 @@ def _emit_call_body(out: _Emitter, op: OperationSpec, traced: bool) -> None:
     out.line("_buf.recycle()")
     out.pop()
     if traced:
-        out.line("_span.annotate(reply_bytes=_reply.size)")
+        out.line('_span.attrs["reply_bytes"] = _reply.size')
     out.line("if _reply.region is None:")
     out.push()
     out.line('_kernel.clock.charge("memory_copy_byte", _reply.size)')
     out.pop()
+    # Every way out recycles the reply: results, a remote error, an
+    # unknown status byte, or a failed decode.
+    out.line("try:")
+    out.push()
     out.line("_status = _reply.get_int8()")
-    out.line("if _status == STATUS_EXCEPTION:")
+    out.line("if _status != STATUS_OK:")
     out.push()
-    out.line("_exc = RemoteApplicationError(_reply.get_string(), _reply.get_string())")
-    out.line("_reply.recycle()")
-    out.line("raise _exc")
-    out.pop()
-    out.line("if _status == STATUS_REVOKED:")
-    out.push()
-    out.line("_exc = RevokedObjectError(_reply.get_string())")
-    out.line("_reply.recycle()")
-    out.line("raise _exc")
+    out.line("raise reply_status_error(_reply, _status)")
     out.pop()
     out.line(f"_result = {_get_expr(op.result, '_reply', '_domain')}")
+    out.pop()
+    out.line("except BaseException:")
+    out.push()
+    out.line("_reply.recycle()")
+    out.line("raise")
+    out.pop()
     out.line("_reply.release()")
     out.line("return _result")
 

@@ -54,6 +54,7 @@ class Door:
         unreferenced: optional upcall run when the last outstanding
             identifier for this door is deleted, so the server-side
             subcontract can clean up (Section 7, simplex consume).
+        label: a fixed name for diagnostics, set at creation.
     """
 
     def __init__(
@@ -68,6 +69,8 @@ class Door:
         self.handler = handler
         self.unreferenced = unreferenced
         self.label = label
+        #: what traces and windows call this door: its label, else its uid
+        self.span_name = label or f"door#{self.uid}"
         self.state = DoorState.ACTIVE
         #: outstanding identifiers (owned or in transit) naming this door
         self.refcount = 0

@@ -428,11 +428,15 @@ class Kernel:
             and server.machine is not None
             and caller.machine is not server.machine
         )
-        name = door.label or f"door#{door.uid}"
         with tracer.begin_span(
-            caller, name, "door", door=door.uid, server=server.name, remote=remote
+            caller,
+            door.span_name,
+            "door",
+            door=door.uid,
+            server=server.name,
+            remote=remote,
         ) as span:
-            buffer.trace_ctx = span.ctx
+            buffer.trace_ctx = (span.trace_id, span.span_id)
             try:
                 if remote:
                     reply = self.fabric(caller, door, buffer)
@@ -547,9 +551,10 @@ class Kernel:
         ts = self.tsan
         if ts is not None:
             ts.on_door_receive(door, buffer)
-        name = door.label or f"door#{door.uid}"
         try:
-            with tracer.begin_handler(server, name, buffer.trace_ctx, door=door.uid):
+            with tracer.begin_handler(
+                server, door.span_name, buffer.trace_ctx, door=door.uid
+            ):
                 reply = door.handler(buffer)
         finally:
             depth_local.value = depth

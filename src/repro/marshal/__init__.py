@@ -6,6 +6,7 @@ from repro.marshal.errors import (
     BufferUnderflowError,
     DoorVectorError,
     MarshalError,
+    ReplyStatusError,
     WireTypeError,
 )
 
@@ -18,4 +19,5 @@ __all__ = [
     "WireTypeError",
     "BufferUnderflowError",
     "DoorVectorError",
+    "ReplyStatusError",
 ]

@@ -269,6 +269,10 @@ class MarshalBuffer:
         """Read the next item as a UTF-8 string."""
         return self._dec.get_string()
 
+    def peek_string(self) -> str:
+        """The next item as a UTF-8 string, without consuming it."""
+        return self._dec.peek_string()
+
     def get_bytes(self) -> bytes:
         """Read the next item as a byte string."""
         return self._dec.get_bytes()
@@ -412,12 +416,13 @@ class MarshalBuffer:
         home = self._home
         if home is None:
             return
-        live = self.live_door_count()
-        if live:
-            raise BufferLifecycleError(
-                f"released while parking {live} live in-transit door "
-                "reference(s); discard() them first, or use recycle()"
-            )
+        if self.doors:  # most buffers never park a door: skip the count
+            live = self.live_door_count()
+            if live:
+                raise BufferLifecycleError(
+                    f"released while parking {live} live in-transit door "
+                    "reference(s); discard() them first, or use recycle()"
+                )
         if _DEBUG:
             self._released_at = "".join(traceback.format_stack(limit=8)[:-1])
         self.data.clear()
@@ -454,7 +459,7 @@ class MarshalBuffer:
         notifications exactly as an undelivered message must — and then
         returns the buffer to its pool.
         """
-        if self.live_door_count():
+        if self.doors and self.live_door_count():
             self.discard()
         self.release()
 

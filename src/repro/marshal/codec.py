@@ -57,6 +57,9 @@ class WireTag(enum.IntEnum):
     TRACE = 0x0C  # optional trailing trace context (repro.obs)
 
 
+_STRING_TAG = int(WireTag.STRING)
+
+
 class Encoder:
     """Appends tagged wire items to a bytearray.
 
@@ -297,6 +300,23 @@ class Decoder:
         value = str(self._data[self.pos : end], "utf-8")
         self.pos = end
         return value
+
+    def peek_string(self) -> str:
+        """Decode the next item as a UTF-8 string without consuming it.
+
+        Strings shorter than 128 bytes (one-byte length) decode in this
+        frame alone; anything else goes through :meth:`get_string`.
+        """
+        data = self._data
+        pos = self.pos
+        if pos + 1 < len(data) and data[pos] == _STRING_TAG and data[pos + 1] < 0x80:
+            end = pos + 2 + data[pos + 1]
+            if end <= len(data):
+                return str(data[pos + 2 : end], "utf-8")
+        try:
+            return self.get_string()
+        finally:
+            self.pos = pos
 
     def get_bytes(self) -> bytes:
         """Decode a byte string."""

@@ -8,6 +8,7 @@ __all__ = [
     "BufferUnderflowError",
     "DoorVectorError",
     "BufferLifecycleError",
+    "ReplyStatusError",
 ]
 
 
@@ -42,4 +43,13 @@ class BufferLifecycleError(MarshalError):
     pristine-state check on reacquisition.  With ``REPRO_DEBUG=1`` the
     first release site is recorded and included in double-release
     messages.
+    """
+
+
+class ReplyStatusError(MarshalError):
+    """A reply's status byte is none of the statuses the stub protocol
+    defines (ok, application exception, revoked).
+
+    The stub refuses such a reply — recycling it first — instead of
+    decoding whatever follows as results.
     """

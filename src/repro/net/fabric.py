@@ -224,7 +224,7 @@ class NetworkFabric:
                 bytes=buffer.size,
             ) as span:
                 reply = self._carry(caller, door, buffer)
-                span.annotate(reply_bytes=reply.size)
+                span.attrs["reply_bytes"] = reply.size
                 return reply
         return self._carry(caller, door, buffer)
 
@@ -248,9 +248,11 @@ class NetworkFabric:
 
         # Request leg: translate outbound doors, pay wire time, translate
         # inbound doors, then the remote kernel's door traversal.
-        src.net_server.outbound(buffer.live_door_count(), domain=caller)
+        # The door count is the same on both sides of the wire.
+        doors = buffer.live_door_count() if buffer.doors else 0
+        src.net_server.outbound(doors, domain=caller)
         self._wire_time(buffer.size, src, dst)
-        dst.net_server.inbound(buffer.live_door_count(), domain=door.server)
+        dst.net_server.inbound(doors, domain=door.server)
         dl = buffer.deadline_us
         if dl is not None and self.kernel.clock.now_us >= dl:
             raise DeadlineExceeded(
@@ -294,10 +296,11 @@ class NetworkFabric:
                 # partition: recycle it here, nobody else will.
                 reply.recycle()
                 raise
+        doors = reply.live_door_count() if reply.doors else 0
         try:
-            dst.net_server.outbound_reply(reply.live_door_count(), domain=door.server)
+            dst.net_server.outbound_reply(doors, domain=door.server)
             self._wire_time(reply.size, src, dst)
-            src.net_server.inbound_reply(reply.live_door_count(), domain=caller)
+            src.net_server.inbound_reply(doors, domain=caller)
         except DeadlineExceeded:
             # The netserver refused a translation leg: the reply never
             # reaches the caller, so clean it up here.

@@ -129,7 +129,9 @@ class MetricsRegistry:
             histogram = self._histograms[key] = Histogram(
                 LATENCY_BUCKETS_US if bounds is None else bounds
             )
-        elif bounds is not None:
+        elif bounds is not None and bounds != histogram.bounds:
+            # The common re-request passes the very tuple the histogram
+            # was built from, so it never reaches this conversion.
             requested = tuple(float(b) for b in bounds)
             if requested != histogram.bounds:
                 raise MetricsMergeError(

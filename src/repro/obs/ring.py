@@ -42,7 +42,10 @@ class TraceRing:
         self._counter = itertools.count()
 
     def record(self, span: "Span") -> None:
-        """Store one finished span, overwriting the oldest on wrap."""
+        """Store one finished span, overwriting the oldest on wrap.
+
+        ``Span.end`` performs this same write inline.
+        """
         seq = next(self._counter)
         span.seq = seq
         self._slots[seq % self.capacity] = span

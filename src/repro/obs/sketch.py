@@ -94,9 +94,6 @@ class Sketch:
 
     # -- insertion ------------------------------------------------------
 
-    def _index(self, value: float) -> int:
-        return math.ceil(math.log(value) / self._log_gamma)
-
     def insert(self, value: float, count: int = 1) -> None:
         """Insert ``value`` with multiplicity ``count`` (integer)."""
         if value < 0.0:
@@ -112,7 +109,7 @@ class Sketch:
         if value < self.min_value:
             self.zero_count += count
             return
-        index = self._index(value)
+        index = math.ceil(math.log(value) / self._log_gamma)
         buckets = self._buckets
         buckets[index] = buckets.get(index, 0) + count
         if len(buckets) > self.max_buckets:

@@ -51,6 +51,8 @@ from repro.obs.metrics import (
     BYTES_BUCKETS,
     LATENCY_BUCKETS_US,
     RETRY_BUCKETS,
+    Counter,
+    Histogram,
     MetricsRegistry,
 )
 from repro.obs.ring import DEFAULT_RING_CAPACITY, TraceRing
@@ -62,8 +64,28 @@ if TYPE_CHECKING:
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "install_tracer"]
 
 
+class _SpanStack(threading.local):
+    """Per-thread stack of open spans, created on a thread's first touch."""
+
+    def __init__(self) -> None:
+        self.stack: list[Span] = []
+
+
+#: ``Span.events`` until the first event: most spans never get one, so
+#: they share this empty tuple instead of allocating a list each
+_NO_EVENTS: tuple = ()
+
+
 class Span:
-    """One timed unit of work; also a context manager (records errors)."""
+    """One timed unit of work; also a context manager (records errors).
+
+    Opening a span (``Tracer.begin_*``) charges its ``trace_span`` probe,
+    stamps the start times and pushes it on the thread's stack; ending
+    it stamps the end times, pops it and records it (ring, then windows,
+    then invoke metrics).  Both legs stay a fixed handful of calls:
+    ``attrs`` adopts the caller's keyword dict, ``events`` is allocated
+    on the first event, and metric handles are cached per scope.
+    """
 
     __slots__ = (
         "tracer",
@@ -92,36 +114,42 @@ class Span:
     def __init__(
         self,
         tracer: "Tracer",
-        trace_id: int,
-        span_id: int,
-        parent_id: int,
+        domain: "Domain",
         name: str,
         category: str,
-        domain: "Domain",
-        ring: TraceRing,
+        trace_id: int,
+        parent_id: int,
+        attrs: dict,
+        subcontract: str | None = None,
     ) -> None:
+        clock = tracer.clock
+        clock.charge(_EV_TRACE_SPAN)
+        ring = domain._trace_ring
+        if ring is None or ring.owner is not tracer:
+            ring = tracer._ring_for(domain)
         self.tracer = tracer
         self.trace_id = trace_id
-        self.span_id = span_id
+        self.span_id = next(tracer._span_ids)
         self.parent_id = parent_id
         self.name = name
         self.category = category
-        self.subcontract: str | None = None
+        self.subcontract = subcontract
         self.domain_name = domain.name
         machine = domain.machine
         self.machine_name = machine.name if machine is not None else ""
-        self.start_sim_us = 0.0
+        self.start_sim_us = clock.now_us
         self.end_sim_us = 0.0
-        self.start_wall_s = 0.0
+        self.start_wall_s = time.perf_counter()  # springlint: disable=clock-discipline -- spans record real wall-clock deltas alongside simulated time by design
         self.end_wall_s = 0.0
         self.status = "ok"
         self.error_type: str | None = None
         self.error_message: str | None = None
-        self.events: list[dict] = []
-        self.attrs: dict[str, Any] = {}
+        self.events: list[dict] | tuple = _NO_EVENTS
+        self.attrs: dict[str, Any] = attrs
         self.seq = -1
         self._ring = ring
         self._ended = False
+        tracer._local.stack.append(self)
 
     # -- annotation ----------------------------------------------------
 
@@ -149,7 +177,10 @@ class Span:
         evt = {"name": name, "ts_us": clock.now_us}
         if detail:
             evt.update(detail)
-        self.events.append(evt)
+        if self.events:
+            self.events.append(evt)
+        else:
+            self.events = [evt]
 
     def record_error(self, exc: BaseException) -> None:
         """Mark this span failed; called once per failing span."""
@@ -159,19 +190,23 @@ class Span:
 
     # -- completion ----------------------------------------------------
 
-    def end(self) -> None:
+    def end(self, exc_type: Any = None, exc: Any = None, tb: Any = None) -> None:
         """Finish the span: stamp end times, pop the stack, record it.
 
-        Idempotent — a second ``end`` (e.g. an explicit call inside a
-        ``with`` block) is a no-op.
+        Also the span's ``__exit__``: an exception leaving the ``with``
+        block is recorded first, even on a span already ended inside
+        it.  Idempotent — a second ``end`` is a no-op.
         """
+        if exc is not None:
+            self.record_error(exc)
         if self._ended:
             return
         self._ended = True
         tracer = self.tracer
-        self.end_sim_us = tracer.clock.now_us
+        clock = tracer.clock
+        self.end_sim_us = clock.now_us
         self.end_wall_s = time.perf_counter()  # springlint: disable=clock-discipline -- spans record real wall-clock deltas alongside simulated time by design
-        stack = tracer._stack()
+        stack = tracer._local.stack
         if stack and stack[-1] is self:
             stack.pop()
         else:  # out-of-order end: remove without disturbing others
@@ -179,22 +214,52 @@ class Span:
                 stack.remove(self)
             except ValueError:
                 pass
-        tracer._finish(self)
+        ring = self._ring  # TraceRing.record, inlined
+        seq = self.seq = next(ring._counter)
+        ring._slots[seq % ring.capacity] = self
+        windows = tracer.windows
+        if windows is not None:
+            clock.charge(_EV_WINDOW_PROBE)
+            windows.record_span(self)
+        if self.category == "invoke":
+            tracer._fold_invoke(self)
 
     def __enter__(self) -> "Span":
         return self
 
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
-        if exc is not None:
-            self.record_error(exc)
-        self.end()
-        return False
+    __exit__ = end
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Span {self.trace_id}/{self.span_id} {self.category}:{self.name!r}"
             f" parent={self.parent_id} {self.status}>"
         )
+
+
+class _InvokeMetrics:
+    """Metric handles for one invoke scope, fetched once from the registry.
+
+    ``errors`` and the attribute-driven histograms stay ``None`` until
+    first needed, so the registry holds exactly the series it would if
+    every span looked them up afresh.
+    """
+
+    __slots__ = (
+        "invocations",
+        "sim_us",
+        "errors",
+        "request_bytes",
+        "reply_bytes",
+        "retries",
+    )
+
+    def __init__(self, metrics: MetricsRegistry, scope: str) -> None:
+        self.invocations = metrics.counter(scope, "invocations")
+        self.sim_us = metrics.histogram(scope, "invoke_sim_us", LATENCY_BUCKETS_US)
+        self.errors: Counter | None = None
+        self.request_bytes: Histogram | None = None
+        self.reply_bytes: Histogram | None = None
+        self.retries: Histogram | None = None
 
 
 #: precomputed charge-site names (clock-discipline: no hot-path formatting)
@@ -221,19 +286,13 @@ class Tracer:
         self.windows = None
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
-        self._local = threading.local()
+        self._local = _SpanStack()
         self._rings: list[TraceRing] = []
         self._ring_lock = threading.Lock()
+        #: invoke scope -> cached metric handles (see _fold_invoke)
+        self._invoke_metrics: dict[str, _InvokeMetrics] = {}
 
     # -- plumbing ------------------------------------------------------
-
-    def _stack(self) -> list[Span]:
-        try:
-            return self._local.stack
-        except AttributeError:
-            stack: list[Span] = []
-            self._local.stack = stack
-            return stack
 
     def _ring_for(self, domain: "Domain") -> TraceRing:
         ring = domain._trace_ring
@@ -247,84 +306,67 @@ class Tracer:
                 self._rings.append(ring)
             return ring
 
-    def _finish(self, span: Span) -> None:
-        span._ring.record(span)
-        windows = self.windows
-        if windows is not None:
-            self.clock.charge(_EV_WINDOW_PROBE)
-            windows.record_span(span)
-        if span.category != "invoke":
-            return
+    def _fold_invoke(self, span: Span) -> None:
+        """Fold one finished invoke span into the cumulative metrics."""
         scope = span.subcontract or "unknown"
+        handles = self._invoke_metrics.get(scope)
+        if handles is None:
+            handles = self._invoke_metrics[scope] = _InvokeMetrics(self.metrics, scope)
         metrics = self.metrics
-        metrics.counter(scope, "invocations").inc()
+        handles.invocations.value += 1
         if span.status != "ok":
-            metrics.counter(scope, "errors").inc()
-        metrics.histogram(scope, "invoke_sim_us", LATENCY_BUCKETS_US).observe(
-            span.duration_us
-        )
+            if handles.errors is None:
+                handles.errors = metrics.counter(scope, "errors")
+            handles.errors.value += 1
+        handles.sim_us.observe(span.end_sim_us - span.start_sim_us)
         attrs = span.attrs
         request_bytes = attrs.get("request_bytes")
         if request_bytes is not None:
-            metrics.histogram(scope, "request_bytes", BYTES_BUCKETS).observe(
-                request_bytes
-            )
+            if handles.request_bytes is None:
+                handles.request_bytes = metrics.histogram(
+                    scope, "request_bytes", BYTES_BUCKETS
+                )
+            handles.request_bytes.observe(request_bytes)
         reply_bytes = attrs.get("reply_bytes")
         if reply_bytes is not None:
-            metrics.histogram(scope, "reply_bytes", BYTES_BUCKETS).observe(reply_bytes)
+            if handles.reply_bytes is None:
+                handles.reply_bytes = metrics.histogram(
+                    scope, "reply_bytes", BYTES_BUCKETS
+                )
+            handles.reply_bytes.observe(reply_bytes)
         retries = attrs.get("retries")
         if retries is not None:
-            metrics.histogram(scope, "retries", RETRY_BUCKETS).observe(retries)
+            if handles.retries is None:
+                handles.retries = metrics.histogram(scope, "retries", RETRY_BUCKETS)
+            handles.retries.observe(retries)
 
     # -- span creation -------------------------------------------------
-
-    def _begin(
-        self,
-        domain: "Domain",
-        name: str,
-        category: str,
-        trace_id: int,
-        parent_id: int,
-        attrs: dict,
-    ) -> Span:
-        clock = self.clock
-        clock.charge(_EV_TRACE_SPAN)
-        span = Span(
-            self,
-            trace_id,
-            next(self._span_ids),
-            parent_id,
-            name,
-            category,
-            domain,
-            self._ring_for(domain),
-        )
-        span.start_sim_us = clock.now_us
-        span.start_wall_s = time.perf_counter()  # springlint: disable=clock-discipline -- spans record real wall-clock deltas alongside simulated time by design
-        if attrs:
-            span.attrs.update(attrs)
-        self._stack().append(span)
-        return span
 
     def begin_span(
         self, domain: "Domain", name: str, category: str = "span", **attrs: Any
     ) -> Span:
         """Open a span; its parent is the calling thread's current span."""
-        stack = self._stack()
+        stack = self._local.stack
         if stack:
             top = stack[-1]
             trace_id, parent_id = top.trace_id, top.span_id
         else:
             trace_id, parent_id = next(self._trace_ids), 0
-        return self._begin(domain, name, category, trace_id, parent_id, attrs)
+        return Span(self, domain, name, category, trace_id, parent_id, attrs)
 
     def begin_invoke(
         self, domain: "Domain", op: str, subcontract_id: str, **attrs: Any
     ) -> Span:
         """Open the client-side invocation span for one operation."""
-        span = self.begin_span(domain, op, "invoke", **attrs)
-        span.subcontract = subcontract_id
-        return span
+        stack = self._local.stack
+        if stack:
+            top = stack[-1]
+            trace_id, parent_id = top.trace_id, top.span_id
+        else:
+            trace_id, parent_id = next(self._trace_ids), 0
+        return Span(
+            self, domain, op, "invoke", trace_id, parent_id, attrs, subcontract_id
+        )
 
     def begin_handler(
         self,
@@ -344,18 +386,18 @@ class Tracer:
             trace_id, parent_id = ctx
         else:
             trace_id, parent_id = next(self._trace_ids), 0
-        return self._begin(domain, name, "handler", trace_id, parent_id, attrs)
+        return Span(self, domain, name, "handler", trace_id, parent_id, attrs)
 
     # -- current-span conveniences (safe no-ops with no span open) -----
 
     def current(self) -> Span | None:
         """The calling thread's innermost open span, if any."""
-        stack = self._stack()
+        stack = self._local.stack
         return stack[-1] if stack else None
 
     def current_ctx(self) -> tuple[int, int] | None:
         """Wire context of the current span, for in-band transports."""
-        stack = self._stack()
+        stack = self._local.stack
         return stack[-1].ctx if stack else None
 
     def event(self, name: str, subcontract: str | None = None, **detail: Any) -> None:
@@ -372,13 +414,13 @@ class Tracer:
             clock = self.clock
             clock.charge(_EV_WINDOW_PROBE)
             windows.record_event(name, subcontract, detail, clock.now_us)
-        stack = self._stack()
+        stack = self._local.stack
         if stack:
             stack[-1].event(name, **detail)
 
     def annotate(self, **attrs: Any) -> None:
         """Attach attributes to the current span, if one is open."""
-        stack = self._stack()
+        stack = self._local.stack
         if stack:
             stack[-1].attrs.update(attrs)
 

@@ -71,6 +71,31 @@ class _Window:
         self.sketches: dict[tuple[str, str], Sketch] = {}
 
 
+#: span categories whose window series are named after the span
+_NAMED_CATEGORIES = frozenset({"door", "handler", "fabric"})
+
+_Key = tuple[str, str]
+
+
+def _span_keys(
+    category: str, label: str
+) -> "tuple[_Key | None, _Key | None, _Key | None]":
+    """The (counter, sketch, error counter) keys a span of ``category``
+    feeds; ``label`` is the invoke scope, the span name for the named
+    categories, and the category itself otherwise."""
+    if category == "invoke":
+        return ((label, "invocations"), (label, "invoke_sim_us"), (label, "errors"))
+    if category == "fabric":
+        return (None, ("fabric", label + ".sim_us"), None)
+    if category in _NAMED_CATEGORIES:
+        return (
+            (category, label),
+            (category, label + ".sim_us"),
+            (category, label + ".errors"),
+        )
+    return (("span", category), None, None)
+
+
 class WindowedSeries:
     """Tumbling sim-time windows of counters and quantile sketches."""
 
@@ -90,6 +115,8 @@ class WindowedSeries:
         self._slots: list[_Window | None] = [None] * retention
         self.dropped_windows = 0
         self.recorded = 0
+        #: (category, scope or name) -> keys one span feeds (_span_keys)
+        self._span_keys: dict[tuple[str, str], tuple] = {}
 
     # -- feed -----------------------------------------------------------
 
@@ -146,24 +173,41 @@ class WindowedSeries:
           per-door signal;
         * ``fabric`` spans: per-hop duration sketch under ``"fabric"``;
         * other categories: a cheap per-category counter under ``"span"``.
+
+        One window lookup per span; the keys a span feeds are built once
+        per ``(category, scope-or-name)`` and cached.
         """
         now = span.end_sim_us
+        index = int(now // self.window_us)
+        window = self._slots[index % self.retention]
+        if window is None or window.index != index:  # not the current window
+            window = self._window_at(now)
+            if window is None:
+                return
         category = span.category
         if category == "invoke":
-            scope = span.subcontract or "unknown"
-            self.count(scope, "invocations", now)
-            if span.status != "ok":
-                self.count(scope, "errors", now)
-            self.observe(scope, "invoke_sim_us", span.duration_us, now)
-        elif category in ("door", "handler"):
-            self.count(category, span.name, now)
-            self.observe(category, span.name + ".sim_us", span.duration_us, now)
-            if span.status != "ok":
-                self.count(category, span.name + ".errors", now)
-        elif category == "fabric":
-            self.observe("fabric", span.name + ".sim_us", span.duration_us, now)
+            label = span.subcontract or "unknown"
+        elif category in _NAMED_CATEGORIES:
+            label = span.name
         else:
-            self.count("span", category, now)
+            label = category
+        keys = self._span_keys.get((category, label))
+        if keys is None:
+            keys = self._span_keys[(category, label)] = _span_keys(category, label)
+        count_key, sketch_key, error_key = keys
+        counters = window.counters
+        if count_key is not None:
+            counters[count_key] = counters.get(count_key, 0) + 1
+            self.recorded += 1
+        if error_key is not None and span.status != "ok":
+            counters[error_key] = counters.get(error_key, 0) + 1
+            self.recorded += 1
+        if sketch_key is not None:
+            sketch = window.sketches.get(sketch_key)
+            if sketch is None:
+                sketch = window.sketches[sketch_key] = Sketch(self.alpha)
+            sketch.insert(span.end_sim_us - span.start_sim_us)
+            self.recorded += 1
 
     def record_event(
         self, name: str, subcontract: str | None, detail: dict, now_us: float

@@ -88,7 +88,7 @@ class _CacheFront:
         # Label by the fronted door's own label when it has one: door uids
         # are a process-global counter, and a uid-bearing label would make
         # per-door telemetry keys differ between otherwise identical runs.
-        fronted = server_door.door.label or f"door#{server_door.door.uid}"
+        fronted = server_door.door.span_name
         self.front_door = domain.kernel.create_door(
             domain, self.handle, label=f"cache-front:{fronted}"
         )

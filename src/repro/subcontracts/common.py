@@ -69,13 +69,10 @@ def make_door_handler(
 def peek_opname(request: MarshalBuffer) -> str:
     """Read the operation name at the request's current position without
     consuming it (the skeleton re-reads it during dispatch)."""
-    saved = request.read_pos
     try:
-        return request.get_string()
+        return request.peek_string()
     except Exception:
         return "?"
-    finally:
-        request.read_pos = saved
 
 
 class SingleDoorRep:
