@@ -82,7 +82,7 @@ class NetworkServer:
         # Deadline enforcement at the translation leg.  Invocation legs
         # run synchronously on the calling thread, so the kernel's
         # per-thread deadline is the same budget the buffer carries.
-        dl = getattr(kernel._deadline, "value", None)
+        dl = kernel._deadline.value
         if dl is not None and kernel.clock.now_us >= dl:
             raise DeadlineExceeded(
                 f"deadline passed at {span_name} on machine {self.machine.name!r}"

@@ -73,13 +73,10 @@ class _Window:
 
 #: span categories whose window series are named after the span
 _NAMED_CATEGORIES = frozenset({"door", "handler", "fabric"})
+#: cached span-key entries kept before the cache starts over
+_SPAN_KEYS_LIMIT = 4096
 
-_Key = tuple[str, str]
-
-
-def _span_keys(
-    category: str, label: str
-) -> "tuple[_Key | None, _Key | None, _Key | None]":
+def _span_keys(category: str, label: str) -> tuple:
     """The (counter, sketch, error counter) keys a span of ``category``
     feeds; ``label`` is the invoke scope, the span name for the named
     categories, and the category itself otherwise."""
@@ -191,9 +188,12 @@ class WindowedSeries:
             label = span.name
         else:
             label = category
-        keys = self._span_keys.get((category, label))
+        cache = self._span_keys
+        keys = cache.get((category, label))
         if keys is None:
-            keys = self._span_keys[(category, label)] = _span_keys(category, label)
+            if len(cache) >= _SPAN_KEYS_LIMIT:  # many one-off door names
+                cache.clear()
+            keys = cache[(category, label)] = _span_keys(category, label)
         count_key, sketch_key, error_key = keys
         counters = window.counters
         if count_key is not None:
