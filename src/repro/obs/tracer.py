@@ -51,8 +51,6 @@ from repro.obs.metrics import (
     BYTES_BUCKETS,
     LATENCY_BUCKETS_US,
     RETRY_BUCKETS,
-    Counter,
-    Histogram,
     MetricsRegistry,
 )
 from repro.obs.ring import DEFAULT_RING_CAPACITY, TraceRing
@@ -117,11 +115,20 @@ class Span:
         domain: "Domain",
         name: str,
         category: str,
-        trace_id: int,
-        parent_id: int,
         attrs: dict,
+        ctx: "tuple[int, int] | None" = None,
         subcontract: str | None = None,
     ) -> None:
+        # Parent: the wire context when given, else the thread's
+        # current span, else none (a fresh trace).
+        stack = tracer._local.stack
+        if ctx is not None:
+            trace_id, parent_id = ctx
+        elif stack:
+            top = stack[-1]
+            trace_id, parent_id = top.trace_id, top.span_id
+        else:
+            trace_id, parent_id = next(tracer._trace_ids), 0
         clock = tracer.clock
         clock.charge(_EV_TRACE_SPAN)
         ring = domain._trace_ring
@@ -149,7 +156,7 @@ class Span:
         self.seq = -1
         self._ring = ring
         self._ended = False
-        tracer._local.stack.append(self)
+        stack.append(self)
 
     # -- annotation ----------------------------------------------------
 
@@ -236,32 +243,6 @@ class Span:
         )
 
 
-class _InvokeMetrics:
-    """Metric handles for one invoke scope, fetched once from the registry.
-
-    ``errors`` and the attribute-driven histograms stay ``None`` until
-    first needed, so the registry holds exactly the series it would if
-    every span looked them up afresh.
-    """
-
-    __slots__ = (
-        "invocations",
-        "sim_us",
-        "errors",
-        "request_bytes",
-        "reply_bytes",
-        "retries",
-    )
-
-    def __init__(self, metrics: MetricsRegistry, scope: str) -> None:
-        self.invocations = metrics.counter(scope, "invocations")
-        self.sim_us = metrics.histogram(scope, "invoke_sim_us", LATENCY_BUCKETS_US)
-        self.errors: Counter | None = None
-        self.request_bytes: Histogram | None = None
-        self.reply_bytes: Histogram | None = None
-        self.retries: Histogram | None = None
-
-
 #: precomputed charge-site names (clock-discipline: no hot-path formatting)
 _EV_TRACE_SPAN = "trace_span"
 _EV_TRACE_EVENT = "trace_event"
@@ -289,8 +270,8 @@ class Tracer:
         self._local = _SpanStack()
         self._rings: list[TraceRing] = []
         self._ring_lock = threading.Lock()
-        #: invoke scope -> cached metric handles (see _fold_invoke)
-        self._invoke_metrics: dict[str, _InvokeMetrics] = {}
+        #: invoke scope -> metric name -> handle (see _fold_invoke)
+        self._invoke_metrics: dict[str, dict[str, Any]] = {}
 
     # -- plumbing ------------------------------------------------------
 
@@ -307,38 +288,54 @@ class Tracer:
             return ring
 
     def _fold_invoke(self, span: Span) -> None:
-        """Fold one finished invoke span into the cumulative metrics."""
+        """Fold one finished invoke span into the cumulative metrics.
+
+        Metric handles are cached per scope, each fetched from the
+        registry on first need, so the registry holds exactly the series
+        a fresh lookup per span would have made.
+        """
         scope = span.subcontract or "unknown"
+        metrics = self.metrics
         handles = self._invoke_metrics.get(scope)
         if handles is None:
-            handles = self._invoke_metrics[scope] = _InvokeMetrics(self.metrics, scope)
-        metrics = self.metrics
-        handles.invocations.value += 1
+            handles = self._invoke_metrics[scope] = {
+                "invocations": metrics.counter(scope, "invocations"),
+                "invoke_sim_us": metrics.histogram(
+                    scope, "invoke_sim_us", LATENCY_BUCKETS_US
+                ),
+            }
+        handles["invocations"].value += 1
         if span.status != "ok":
-            if handles.errors is None:
-                handles.errors = metrics.counter(scope, "errors")
-            handles.errors.value += 1
-        handles.sim_us.observe(span.end_sim_us - span.start_sim_us)
+            errors = handles.get("errors")
+            if errors is None:
+                errors = handles["errors"] = metrics.counter(scope, "errors")
+            errors.value += 1
+        handles["invoke_sim_us"].observe(span.end_sim_us - span.start_sim_us)
         attrs = span.attrs
         request_bytes = attrs.get("request_bytes")
         if request_bytes is not None:
-            if handles.request_bytes is None:
-                handles.request_bytes = metrics.histogram(
+            histogram = handles.get("request_bytes")
+            if histogram is None:
+                histogram = handles["request_bytes"] = metrics.histogram(
                     scope, "request_bytes", BYTES_BUCKETS
                 )
-            handles.request_bytes.observe(request_bytes)
+            histogram.observe(request_bytes)
         reply_bytes = attrs.get("reply_bytes")
         if reply_bytes is not None:
-            if handles.reply_bytes is None:
-                handles.reply_bytes = metrics.histogram(
+            histogram = handles.get("reply_bytes")
+            if histogram is None:
+                histogram = handles["reply_bytes"] = metrics.histogram(
                     scope, "reply_bytes", BYTES_BUCKETS
                 )
-            handles.reply_bytes.observe(reply_bytes)
+            histogram.observe(reply_bytes)
         retries = attrs.get("retries")
         if retries is not None:
-            if handles.retries is None:
-                handles.retries = metrics.histogram(scope, "retries", RETRY_BUCKETS)
-            handles.retries.observe(retries)
+            histogram = handles.get("retries")
+            if histogram is None:
+                histogram = handles["retries"] = metrics.histogram(
+                    scope, "retries", RETRY_BUCKETS
+                )
+            histogram.observe(retries)
 
     # -- span creation -------------------------------------------------
 
@@ -346,27 +343,13 @@ class Tracer:
         self, domain: "Domain", name: str, category: str = "span", **attrs: Any
     ) -> Span:
         """Open a span; its parent is the calling thread's current span."""
-        stack = self._local.stack
-        if stack:
-            top = stack[-1]
-            trace_id, parent_id = top.trace_id, top.span_id
-        else:
-            trace_id, parent_id = next(self._trace_ids), 0
-        return Span(self, domain, name, category, trace_id, parent_id, attrs)
+        return Span(self, domain, name, category, attrs)
 
     def begin_invoke(
         self, domain: "Domain", op: str, subcontract_id: str, **attrs: Any
     ) -> Span:
         """Open the client-side invocation span for one operation."""
-        stack = self._local.stack
-        if stack:
-            top = stack[-1]
-            trace_id, parent_id = top.trace_id, top.span_id
-        else:
-            trace_id, parent_id = next(self._trace_ids), 0
-        return Span(
-            self, domain, op, "invoke", trace_id, parent_id, attrs, subcontract_id
-        )
+        return Span(self, domain, op, "invoke", attrs, subcontract=subcontract_id)
 
     def begin_handler(
         self,
@@ -382,11 +365,9 @@ class Tracer:
         header); the thread stack is deliberately not consulted, so the
         causal link is exactly what crossed the wire.
         """
-        if ctx is not None:
-            trace_id, parent_id = ctx
-        else:
-            trace_id, parent_id = next(self._trace_ids), 0
-        return Span(self, domain, name, "handler", trace_id, parent_id, attrs)
+        if ctx is None:
+            ctx = (next(self._trace_ids), 0)
+        return Span(self, domain, name, "handler", attrs, ctx)
 
     # -- current-span conveniences (safe no-ops with no span open) -----
 
