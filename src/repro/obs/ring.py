@@ -42,10 +42,7 @@ class TraceRing:
         self._counter = itertools.count()
 
     def record(self, span: "Span") -> None:
-        """Store one finished span, overwriting the oldest on wrap.
-
-        ``Span.end`` performs this same write inline.
-        """
+        """Store one finished span, overwriting the oldest on wrap."""
         seq = next(self._counter)
         span.seq = seq
         self._slots[seq % self.capacity] = span

@@ -221,9 +221,7 @@ class Span:
                 stack.remove(self)
             except ValueError:
                 pass
-        ring = self._ring  # TraceRing.record, inlined
-        seq = self.seq = next(ring._counter)
-        ring._slots[seq % ring.capacity] = self
+        self._ring.record(self)
         windows = tracer.windows
         if windows is not None:
             clock.charge(_EV_WINDOW_PROBE)

@@ -19,7 +19,7 @@ from repro.obs.tracer import NULL_TRACER
 from tests.obs.conftest import build_counter_world
 
 #: Python calls in one traced general-stub call (tracer + windows)
-TRACED_CALLS = 197
+TRACED_CALLS = 206
 #: Python calls in the same call with tracing off
 UNTRACED_CALLS = 99
 #: spans the traced call records
