@@ -76,7 +76,8 @@ _NAMED_CATEGORIES = frozenset({"door", "handler", "fabric"})
 #: cached span-key entries kept before the cache starts over
 _SPAN_KEYS_LIMIT = 4096
 
-def _span_keys(category: str, label: str) -> tuple:
+
+def _series_keys(category: str, label: str) -> tuple:
     """The (counter, sketch, error counter) keys a span of ``category``
     feeds; ``label`` is the invoke scope, the span name for the named
     categories, and the category itself otherwise."""
@@ -112,7 +113,7 @@ class WindowedSeries:
         self._slots: list[_Window | None] = [None] * retention
         self.dropped_windows = 0
         self.recorded = 0
-        #: (category, scope or name) -> keys one span feeds (_span_keys)
+        #: (category, scope or name) -> keys one span feeds (_series_keys)
         self._span_keys: dict[tuple[str, str], tuple] = {}
 
     # -- feed -----------------------------------------------------------
@@ -193,7 +194,7 @@ class WindowedSeries:
         if keys is None:
             if len(cache) >= _SPAN_KEYS_LIMIT:  # many one-off door names
                 cache.clear()
-            keys = cache[(category, label)] = _span_keys(category, label)
+            keys = cache[(category, label)] = _series_keys(category, label)
         count_key, sketch_key, error_key = keys
         counters = window.counters
         if count_key is not None:
